@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race fuzz-smoke bench bench-rtog bench-pdn bench-serve bench-spatial bench-planstore bench-http check docs-check aimlint lint ci
+.PHONY: all build vet fmt-check test race fuzz-smoke bench bench-rtog bench-pdn bench-serve bench-spatial bench-planstore bench-http perfbench-check check docs-check aimlint lint ci
 
 all: build
 
@@ -24,6 +24,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The repository benchmark (perfbench/) is a separate Go module that
+# imports this module's internals, so `go build ./...` never compiles
+# it. This vets and tests it against the current tree.
+perfbench-check:
+	cd perfbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
 
 # Fuzz smoke: a few seconds per native fuzz target on the three
 # hostile input boundaries — the HTTP submit decoder, the scenario-mix
@@ -187,4 +193,4 @@ aimlint:
 
 lint: vet fmt-check docs-check aimlint
 
-ci: build lint race bench check
+ci: build lint race perfbench-check bench check

@@ -3,7 +3,6 @@ package aim
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"aim/internal/core"
@@ -58,14 +57,6 @@ const (
 	// of the analytic noise term.
 	FidelitySpatial Fidelity = "spatial"
 )
-
-func (f Fidelity) internal() (sim.Fidelity, error) {
-	fid, err := sim.ParseFidelity(string(f))
-	if err != nil {
-		return 0, fmt.Errorf("aim: %w", err)
-	}
-	return fid, nil
-}
 
 // Networks lists the workloads of the evaluation zoo.
 func Networks() []string { return model.Names() }
@@ -160,55 +151,55 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	// Validate the compile knobs up front: invalid input must surface
-	// as an error (via quant.IsPow2 inside ResolveWDSDelta), never as
-	// a panic out of the compiler — a serving daemon cannot tolerate
-	// the latter.
+	// Validate every knob up front: invalid input must surface as an
+	// error, never as a panic out of the compiler or a silent
+	// fallback in the simulator — a serving daemon cannot tolerate
+	// either.
 	delta, err := core.ResolveWDSDelta(cfg.WDSDelta)
 	if err != nil {
 		return Result{}, fmt.Errorf("aim: %w", err)
 	}
-	if cfg.Bits != 0 && (cfg.Bits < 2 || cfg.Bits > 16) {
-		return Result{}, fmt.Errorf("aim: bits %d out of range [2,16]", cfg.Bits)
+	bits, err := core.ResolveBits(cfg.Bits)
+	if err != nil {
+		return Result{}, fmt.Errorf("aim: %w", err)
 	}
-	// Runtime knobs get the same treatment: a bogus fidelity or a
-	// negative worker count is an error, not a silent fallback.
-	fidelity, err := cfg.Fidelity.internal()
+	rt, err := cfg.runtime()
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.Parallel < 0 {
-		return Result{}, fmt.Errorf("aim: negative parallel %d (0 = one worker per CPU, 1 = serial)", cfg.Parallel)
-	}
-	if cfg.SpatialWindow < 0 {
-		return Result{}, fmt.Errorf("aim: negative spatial window %d (0 = default)", cfg.SpatialWindow)
-	}
-	if cfg.SpatialSkipMV < 0 || math.IsNaN(cfg.SpatialSkipMV) || math.IsInf(cfg.SpatialSkipMV, 0) {
-		return Result{}, fmt.Errorf("aim: spatial skip threshold %v mV (want a finite value >= 0)", cfg.SpatialSkipMV)
+	if err := rt.Validate(); err != nil {
+		return Result{}, fmt.Errorf("aim: %w", err)
 	}
 	net, err := model.ByName(cfg.Network, 2025)
 	if err != nil {
 		return Result{}, err
 	}
 	p := core.NewPipeline(mode)
-	p.Seed = seed
-	p.Parallel = cfg.Parallel
-	p.Fidelity = fidelity
-	p.SpatialWindow = cfg.SpatialWindow
-	p.SpatialSkipMV = cfg.SpatialSkipMV
-	p.SpatialAdaptive = cfg.SpatialAdaptive
+	if cfg.Seed != 0 {
+		p.Seed = cfg.Seed
+	}
+	p.Bits = bits
 	p.WDSDelta = delta
-	if cfg.Beta > 0 {
-		p.Beta = cfg.Beta
-	}
-	if cfg.Bits > 0 {
-		p.Bits = cfg.Bits
-	}
+	p.Runtime = rt
 	return resultFrom(p.Run(net), cfg.Mode), nil
+}
+
+// runtime gathers the Config's runtime knobs into the simulator's one
+// value — the single conversion Run and the serving path share. It
+// checks only the fidelity spelling; callers validate the rest.
+func (cfg Config) runtime() (sim.Runtime, error) {
+	fid, err := sim.ParseFidelity(string(cfg.Fidelity))
+	if err != nil {
+		return sim.Runtime{}, fmt.Errorf("aim: %w", err)
+	}
+	return sim.Runtime{
+		Beta:            cfg.Beta,
+		Parallel:        cfg.Parallel,
+		Fidelity:        fid,
+		SpatialWindow:   cfg.SpatialWindow,
+		SpatialSkipMV:   cfg.SpatialSkipMV,
+		SpatialAdaptive: cfg.SpatialAdaptive,
+	}, nil
 }
 
 // resultFrom flattens a core report into the public Result. It is the

@@ -221,6 +221,11 @@ func TestRunRejectsInvalidRuntimeKnobs(t *testing.T) {
 	if _, err := Run(Config{Network: "resnet18", Parallel: -1}); err == nil || !strings.Contains(err.Error(), "negative parallel") {
 		t.Errorf("Parallel -1: err = %v, want negative-parallel error", err)
 	}
+	for _, skip := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := Run(Config{Network: "resnet18", SpatialSkipMV: skip}); err == nil || !strings.Contains(err.Error(), "aim: spatial skip threshold") {
+			t.Errorf("SpatialSkipMV %v: err = %v, want spatial-skip error", skip, err)
+		}
+	}
 }
 
 func TestServerRejectsInvalidRuntimeKnobs(t *testing.T) {
@@ -231,6 +236,11 @@ func TestServerRejectsInvalidRuntimeKnobs(t *testing.T) {
 	}
 	if _, err := srv.Submit(context.Background(), Config{Network: "resnet18", Parallel: -1}); err == nil {
 		t.Error("Submit with negative parallel must error")
+	}
+	for _, skip := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := srv.Submit(context.Background(), Config{Network: "resnet18", SpatialSkipMV: skip}); err == nil {
+			t.Errorf("Submit with SpatialSkipMV %v must error", skip)
+		}
 	}
 	if _, err := srv.ServeList(context.Background(), []Config{{Network: "resnet18", Fidelity: "x"}}); err == nil {
 		t.Error("ServeList with bogus fidelity must error")

@@ -139,7 +139,7 @@ func spatialCost(network string) (time.Duration, error) {
 		return 0, err
 	}
 	defer srv.Close()
-	req := serve.Request{Network: network, Fidelity: sim.SpatialPDN}
+	req := serve.Request{Network: network, Runtime: sim.Runtime{Fidelity: sim.SpatialPDN}}
 	if _, err := srv.Submit(context.Background(), req); err != nil {
 		return 0, err
 	}

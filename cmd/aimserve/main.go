@@ -230,10 +230,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sc := scen[pick.Intn(len(scen))]
 		reqs[i] = serve.Request{
 			Network: sc.net, Mode: sc.mode,
-			Beta: *beta, Delta: *delta, Seed: *seed, Parallel: *parallel,
-			Fidelity: fidelity, AdaptFidelity: adapt,
-			SpatialWindow: *spatialWindow, SpatialSkipMV: *spatialSkip,
-			SpatialAdaptive: *spatialAdaptive,
+			Delta: *delta, Seed: *seed, AdaptFidelity: adapt,
+			Runtime: sim.Runtime{
+				Beta: *beta, Parallel: *parallel, Fidelity: fidelity,
+				SpatialWindow: *spatialWindow, SpatialSkipMV: *spatialSkip,
+				SpatialAdaptive: *spatialAdaptive,
+			},
 		}
 	}
 	offsets, err := arrivalOffsets(*arrivals, *n, *rate, *burstFactor, *period, *seed)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -167,6 +168,20 @@ func TestServeModeFlagErrors(t *testing.T) {
 	var stdout, stderr strings.Builder
 	if code := dispatch([]string{"serve", "-h"}, &stdout, &stderr); code != 0 {
 		t.Errorf("serve -h: exit = %d, want 0", code)
+	}
+}
+
+// TestHTTPServerTimeouts: serve mode's listener must time out slow
+// headers, slow bodies and idle keep-alives, so a client that stalls
+// cannot hold a connection forever.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Errorf("timeouts ReadHeader=%v Read=%v Idle=%v, want all positive",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout)
+	}
+	if srv.Handler == nil {
+		t.Error("handler not installed")
 	}
 }
 

@@ -16,6 +16,29 @@ import (
 	"aim/internal/serve"
 )
 
+// Listener timeouts: a client that trickles its headers or body, or
+// parks an idle keep-alive connection, is cut off instead of holding a
+// connection forever. A valid request body is a few hundred bytes, so
+// these are generous. There is deliberately no write timeout: a
+// spatial-tier request legitimately computes for seconds before the
+// reply is written.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the front-door handler in the listener serve
+// mode runs.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // runServe hosts the HTTP/JSON front door. Unlike the load-generator
 // mode, every malformed flag is a hard exit 1 with a message — a
 // server that silently fell back to defaults would run unlimited and
@@ -72,7 +95,7 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "aimserve serve: %v\n", err)
 		return 1
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	//aimlint:allow no-naked-go — signal watcher for graceful drain; blocks on the OS, not on simulation work

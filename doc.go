@@ -78,13 +78,19 @@
 // every group's drop from its own tiles — real neighbour coupling in
 // place of the analytic noise term, at ~4x the packed tier's
 // wall-clock (see BENCH_spatial.json from `make bench-spatial`).
-// Fidelity is a runtime knob outside the plan-cache key, so one
-// compiled plan serves every tier; the spatial tier is bit-identical
-// for any worker count, and its per-group drops agree with the
-// analytic model within the documented calibration band
-// (irdrop.SpatialCalibrationBandMV) on the default die. The
-// fig16live experiment compares the tiers live under IR-Booster on
-// the 64x64 and 256x256 dies.
+// The spatial tier is bit-identical for any worker count, and its
+// per-group drops agree with the analytic model within the documented
+// calibration band (irdrop.SpatialCalibrationBandMV) on the default
+// die. The fig16live experiment compares the tiers live under
+// IR-Booster on the 64x64 and 256x256 dies.
+//
+// The runtime knobs — Config.Beta, Parallel, Fidelity, SpatialWindow,
+// SpatialSkipMV and SpatialAdaptive — are one value inside the
+// library (sim.Runtime) that the pipeline, the simulator and the
+// serving runtime embed unchanged. They sit outside the plan-cache
+// key, so one compiled plan serves every setting, and they are
+// validated once, by sim.Runtime.Validate, whichever entry point
+// receives them.
 //
 // For the paper's serving scenario (PIM chips serving language models
 // under a latency target or power envelope) the pipeline splits into

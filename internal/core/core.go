@@ -54,10 +54,13 @@ func (s Stage) String() string {
 // Stages lists the ablation ladder in order.
 func Stages() []Stage { return []Stage{StageBaseline, StageLHR, StageWDS, StageBooster} }
 
-// WDS δ conventions shared by the public API and the serving runtime:
-// a zero Config field means "default", so an explicit sentinel is
-// needed to switch WDS off.
+// Compile-knob conventions shared by the public API and the serving
+// runtime: a zero Config field means "default", so an explicit
+// sentinel is needed to switch WDS off.
 const (
+	// DefaultBits is the quantization width the pipeline applies when
+	// the caller leaves the knob at zero.
+	DefaultBits = 8
 	// DefaultWDSDelta is the δ the pipeline applies when the caller
 	// leaves the knob at zero (the paper's ablation configuration).
 	DefaultWDSDelta = 16
@@ -65,6 +68,19 @@ const (
 	// distribution shift (compiler semantics: δ=0 disables WDS).
 	DisableWDS = -1
 )
+
+// ResolveBits canonicalizes a user-facing quantization width: 0
+// selects DefaultBits, and any other value must lie in [2,16].
+func ResolveBits(b int) (int, error) {
+	switch {
+	case b == 0:
+		return DefaultBits, nil
+	case b < 2 || b > 16:
+		return 0, fmt.Errorf("bits %d out of range [2,16]", b)
+	default:
+		return b, nil
+	}
+}
 
 // ResolveWDSDelta canonicalizes a user-facing δ: 0 selects
 // DefaultWDSDelta, DisableWDS (-1) selects 0 (WDS off), and any other
@@ -82,33 +98,21 @@ func ResolveWDSDelta(d int) (int, error) {
 	}
 }
 
-// Pipeline is a configured AIM deployment.
+// Pipeline is a configured AIM deployment. The compile-relevant
+// fields (Chip, Mode, Bits, WDSDelta, Seed) determine the Plan; the
+// embedded sim.Runtime knobs (β, workers, fidelity tier, spatial
+// cadence) and Warm only shape Execute, so one Plan serves every
+// runtime setting.
 type Pipeline struct {
+	sim.Runtime
 	Chip pim.Config
 	Mode vf.Mode
-	Beta int
 	// Bits is the quantization width (default 8).
 	Bits int
 	// WDSDelta is the δ used by the WDS stage (default 16 to match the
 	// paper's ablation configuration; 0 disables WDS).
 	WDSDelta int
 	Seed     int64
-	// Parallel bounds the simulator's wave-sharding pool (0 = one
-	// worker per CPU, 1 = serial); results are identical either way.
-	Parallel int
-	// Fidelity selects the simulator's modelling tier (default
-	// sim.AnalyticToggles — the byte-stable historical behaviour).
-	// Like Beta and Parallel it is a runtime knob: it never touches
-	// the compiled artifact, so one Plan serves every tier.
-	Fidelity sim.Fidelity
-	// SpatialWindow, SpatialSkipMV and SpatialAdaptive are the
-	// SpatialPDN tier's cadence and incremental-solve knobs, passed
-	// through to sim.Options verbatim. All are runtime knobs (never in
-	// the plan) and all default to the byte-stable reference: solve
-	// every DefaultSpatialWindow cycles, skip nothing, fixed cadence.
-	SpatialWindow   int
-	SpatialSkipMV   float64
-	SpatialAdaptive bool
 	// Warm, when non-nil, lets the simulator reuse its per-worker
 	// scratch across Execute calls — the serving runtime's warm
 	// simulator state. Results are bit-identical with or without it.
@@ -118,7 +122,7 @@ type Pipeline struct {
 // NewPipeline returns the reference deployment: the 7nm 256-TOPS chip,
 // β=50, δ=16.
 func NewPipeline(mode vf.Mode) *Pipeline {
-	return &Pipeline{Chip: pim.DefaultConfig(), Mode: mode, Beta: 50, Bits: 8, WDSDelta: DefaultWDSDelta, Seed: 1}
+	return &Pipeline{Runtime: sim.Runtime{Beta: 50}, Chip: pim.DefaultConfig(), Mode: mode, Bits: DefaultBits, WDSDelta: DefaultWDSDelta, Seed: 1}
 }
 
 // CompilerOptions derives the offline configuration for a stage.
@@ -147,14 +151,9 @@ func (p *Pipeline) CompilerOptions(s Stage) compiler.Options {
 // SimOptions derives the runtime configuration for a stage.
 func (p *Pipeline) SimOptions(s Stage, transformer bool) sim.Options {
 	opt := sim.DefaultOptions(transformer, p.Mode)
-	opt.Beta = p.Beta
+	opt.Runtime = p.Runtime
 	opt.Seed = p.Seed
-	opt.Parallel = p.Parallel
 	opt.Warm = p.Warm
-	opt.Fidelity = p.Fidelity
-	opt.SpatialWindow = p.SpatialWindow
-	opt.SpatialSkipMV = p.SpatialSkipMV
-	opt.SpatialAdaptive = p.SpatialAdaptive
 	switch s {
 	case StageBaseline:
 		opt.UseBooster = false

@@ -48,15 +48,14 @@ func (s *Server) executor() {
 
 // noteSolveStats folds one report's spatial mesh-solve accounting
 // (both executed stages) into the server counters. Non-spatial
-// executions carry zero stats and cost four no-op adds.
+// executions carry zero stats and skip the lock.
 func (s *Server) noteSolveStats(rep core.Report) {
 	st := rep.Baseline.Result.SpatialSolve
 	st.Add(rep.AIM.Result.SpatialSolve)
 	if st == (irdrop.SolveStats{}) {
 		return
 	}
-	s.spatialSolves.Add(st.Solves)
-	s.spatialSkips.Add(st.Skips)
-	s.spatialVCycles.Add(st.VCycles)
-	s.spatialSaturated.Add(st.Saturated)
+	s.mu.Lock()
+	s.spatial.Add(st)
+	s.mu.Unlock()
 }

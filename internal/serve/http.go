@@ -97,16 +97,18 @@ func decodeSubmit(body []byte) (Request, error) {
 		return Request{}, errors.New("serve: bad request body: trailing data after JSON object")
 	}
 	req := Request{
-		Network:         w.Network,
-		Beta:            w.Beta,
-		Bits:            w.Bits,
-		Delta:           w.Delta,
-		Seed:            w.Seed,
-		Parallel:        w.Parallel,
-		SpatialWindow:   w.SpatialWindow,
-		SpatialSkipMV:   w.SpatialSkipMV,
-		SpatialAdaptive: w.SpatialAdaptive,
-		Client:          w.Client,
+		Network: w.Network,
+		Bits:    w.Bits,
+		Delta:   w.Delta,
+		Seed:    w.Seed,
+		Runtime: sim.Runtime{
+			Beta:            w.Beta,
+			Parallel:        w.Parallel,
+			SpatialWindow:   w.SpatialWindow,
+			SpatialSkipMV:   w.SpatialSkipMV,
+			SpatialAdaptive: w.SpatialAdaptive,
+		},
+		Client: w.Client,
 	}
 	switch w.Mode {
 	case "", vf.LowPower.String():

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"aim/internal/core"
+	"aim/internal/irdrop"
 	"aim/internal/model"
 	"aim/internal/planstore"
 	"aim/internal/sim"
@@ -54,9 +55,6 @@ type Request struct {
 	Network string
 	// Mode is the operating policy (sprint or low-power).
 	Mode vf.Mode
-	// Beta is IR-Booster's stability horizon in cycles (runtime knob,
-	// default 50; not part of the plan key).
-	Beta int
 	// Bits is the quantization width (default 8, range 2..16).
 	Bits int
 	// Delta is the WDS δ: 0 means the default 16, core.DisableWDS
@@ -64,28 +62,14 @@ type Request struct {
 	Delta int
 	// Seed drives every stochastic component (default 1).
 	Seed int64
-	// Parallel bounds the per-request wave-sharding pool (default 1:
-	// a serving fleet gets its parallelism from concurrent requests,
-	// not intra-request sharding). Results are bit-identical for any
-	// value; negative values are rejected.
-	Parallel int
-	// Fidelity selects the simulator's modelling tier (runtime knob,
-	// default sim.AnalyticToggles; NOT part of the plan key — plans
-	// compile identically at every tier, so one cached plan serves
-	// analytic, packed and spatial requests alike). Unknown values are
-	// rejected at admission.
-	Fidelity sim.Fidelity
-	// SpatialWindow, SpatialSkipMV and SpatialAdaptive tune the
-	// SpatialPDN tier's solve cadence and incremental-solve gates
-	// (runtime knobs, NOT part of the plan key; zero values are the
-	// reference behaviour — fixed DefaultSpatialWindow cadence, no
-	// window skipping). Negative or non-finite values are rejected at
-	// admission. They only matter for requests that execute at the
-	// spatial tier; results remain bit-identical across worker counts
-	// at any setting.
-	SpatialWindow   int
-	SpatialSkipMV   float64
-	SpatialAdaptive bool
+	// Runtime carries the simulator knobs (β, Parallel, Fidelity and
+	// the spatial cadence). None is part of the plan key — plans
+	// compile identically at every setting, so one cached plan serves
+	// analytic, packed and spatial requests alike — and invalid values
+	// are rejected at admission. Parallel defaults to 1 here, not one
+	// worker per CPU: a serving fleet gets its parallelism from
+	// concurrent requests, not intra-request sharding.
+	sim.Runtime
 	// AdaptFidelity hands the tier choice to the scheduling layer's
 	// SLO degradation ladder: the request serves at whatever tier the
 	// ladder holds when its batch executes (SpatialPDN when idle,
@@ -113,38 +97,30 @@ func (r Request) normalize() (Request, Key, error) {
 	if r.Mode != vf.Sprint && r.Mode != vf.LowPower {
 		return r, Key{}, fmt.Errorf("serve: unknown mode %d", int(r.Mode))
 	}
+	// β is canonicalized (sim.Run would default it anyway) so that
+	// Render collapses β=0 and β=50 into one row and prints the β that
+	// ran.
 	if r.Beta <= 0 {
 		r.Beta = 50
 	}
 	if r.Seed == 0 {
 		r.Seed = 1
 	}
-	if r.Bits == 0 {
-		r.Bits = 8
-	}
-	if r.Bits < 2 || r.Bits > 16 {
-		return r, Key{}, fmt.Errorf("serve: bits %d out of range [2,16]", r.Bits)
-	}
 	if r.Parallel == 0 {
 		r.Parallel = 1
 	}
-	if r.Parallel < 0 {
-		return r, Key{}, fmt.Errorf("serve: negative parallel %d", r.Parallel)
+	if err := r.Runtime.Validate(); err != nil {
+		return r, Key{}, fmt.Errorf("serve: %w", err)
 	}
-	if !r.Fidelity.Valid() {
-		return r, Key{}, fmt.Errorf("serve: unknown fidelity %d (want %v, %v or %v)",
-			int(r.Fidelity), sim.AnalyticToggles, sim.PackedToggles, sim.SpatialPDN)
-	}
-	if r.SpatialWindow < 0 {
-		return r, Key{}, fmt.Errorf("serve: negative spatial window %d (0 = default)", r.SpatialWindow)
-	}
-	if r.SpatialSkipMV < 0 || math.IsNaN(r.SpatialSkipMV) || math.IsInf(r.SpatialSkipMV, 0) {
-		return r, Key{}, fmt.Errorf("serve: spatial skip threshold %v mV (want a finite value >= 0)", r.SpatialSkipMV)
+	bits, err := core.ResolveBits(r.Bits)
+	if err != nil {
+		return r, Key{}, fmt.Errorf("serve: %w", err)
 	}
 	d, err := core.ResolveWDSDelta(r.Delta)
 	if err != nil {
 		return r, Key{}, fmt.Errorf("serve: %w", err)
 	}
+	r.Bits = bits
 	r.Delta = d
 	key := Key{Network: r.Network, Mode: r.Mode.String(), Bits: r.Bits, Delta: d, Seed: r.Seed}
 	return r, key, nil
@@ -295,20 +271,17 @@ type Server struct {
 	rateLimited atomic.Int64
 	ewmaLatency atomic.Int64 // nanoseconds; exponential moving average
 
-	// Execution counters: requests served per fidelity tier, and the
-	// spatial tier's mesh-solve work accumulated across every executed
-	// stage — what makes the cost of the ladder's fidelity decisions
-	// observable from /v1/metrics.
-	served           [3]atomic.Int64
-	spatialSolves    atomic.Int64
-	spatialSkips     atomic.Int64
-	spatialVCycles   atomic.Int64
-	spatialSaturated atomic.Int64
+	// Execution counters: requests served per fidelity tier.
+	served [3]atomic.Int64
 
 	mu       sync.Mutex
 	requests int64
 	batches  int64
 	batched  int64
+	// spatial is the spatial tier's mesh-solve work accumulated across
+	// every executed stage — what makes the cost of the ladder's
+	// fidelity decisions observable from /v1/metrics.
+	spatial irdrop.SolveStats
 	// latencies is a bounded ring of the most recent answers — a
 	// long-lived daemon must not retain one sample per request
 	// forever. latHead is the next write slot once the ring is full.
@@ -381,15 +354,10 @@ func (s *Server) Close() {
 // along per request.
 func (s *Server) pipelineFor(r Request) *core.Pipeline {
 	p := core.NewPipeline(r.Mode)
+	p.Runtime = r.Runtime
 	p.Seed = r.Seed
-	p.Beta = r.Beta
 	p.Bits = r.Bits
 	p.WDSDelta = r.Delta
-	p.Parallel = r.Parallel
-	p.Fidelity = r.Fidelity
-	p.SpatialWindow = r.SpatialWindow
-	p.SpatialSkipMV = r.SpatialSkipMV
-	p.SpatialAdaptive = r.SpatialAdaptive
 	p.Warm = s.warm
 	return p
 }
@@ -410,7 +378,8 @@ type Stats struct {
 	MeanBatch float64
 	// Shed counts requests refused because the admission queue was
 	// full; RateLimited counts requests refused by the per-client
-	// limiter. Both are answered with *OverloadError (HTTP 429).
+	// limiter. Both are answered with *OverloadError (HTTP 429), and
+	// neither is included in Requests.
 	Shed        int64
 	RateLimited int64
 	// ServedAnalytic/ServedPacked/ServedSpatial count answered
@@ -420,7 +389,8 @@ type Stats struct {
 	ServedAnalytic, ServedPacked, ServedSpatial int64
 	// SpatialSolves/SpatialSkips/SpatialVCycles count the spatial
 	// tier's mesh-solve work across all served requests: solves run,
-	// windows answered from a held field, and total V-cycles.
+	// windows answered from a held field, and total V-cycles. All stay
+	// 0 until a spatial-tier request is served.
 	// SpatialSaturated counts solves that exhausted their iteration
 	// budget without converging — nonzero means the tier is quietly
 	// losing accuracy and aimcheck's bench validation flags it.
@@ -442,10 +412,10 @@ func (s *Server) Stats() Stats {
 		ServedAnalytic:   s.served[sim.AnalyticToggles].Load(),
 		ServedPacked:     s.served[sim.PackedToggles].Load(),
 		ServedSpatial:    s.served[sim.SpatialPDN].Load(),
-		SpatialSolves:    s.spatialSolves.Load(),
-		SpatialSkips:     s.spatialSkips.Load(),
-		SpatialVCycles:   s.spatialVCycles.Load(),
-		SpatialSaturated: s.spatialSaturated.Load(),
+		SpatialSolves:    s.spatial.Solves,
+		SpatialSkips:     s.spatial.Skips,
+		SpatialVCycles:   s.spatial.VCycles,
+		SpatialSaturated: s.spatial.Saturated,
 	}
 	if s.batches > 0 {
 		st.MeanBatch = float64(s.batched) / float64(s.batches)

@@ -108,37 +108,38 @@ func TestRequestNormalize(t *testing.T) {
 		{
 			name: "defaults",
 			req:  Request{Network: "resnet18", Mode: vf.LowPower},
-			want: Request{Network: "resnet18", Mode: vf.LowPower, Beta: 50, Bits: 8, Delta: 16, Seed: 1, Parallel: 1},
+			want: Request{Network: "resnet18", Mode: vf.LowPower, Bits: 8, Delta: 16, Seed: 1, Runtime: sim.Runtime{Beta: 50, Parallel: 1}},
 		},
 		{
 			name: "disable wds",
 			req:  Request{Network: "resnet18", Mode: vf.Sprint, Delta: core.DisableWDS},
-			want: Request{Network: "resnet18", Mode: vf.Sprint, Beta: 50, Bits: 8, Delta: 0, Seed: 1, Parallel: 1},
+			want: Request{Network: "resnet18", Mode: vf.Sprint, Bits: 8, Delta: 0, Seed: 1, Runtime: sim.Runtime{Beta: 50, Parallel: 1}},
 		},
 		{
 			name: "explicit pow2 delta",
-			req:  Request{Network: "gpt2", Mode: vf.LowPower, Delta: 8, Beta: 25, Seed: 7, Bits: 4, Parallel: 3},
-			want: Request{Network: "gpt2", Mode: vf.LowPower, Beta: 25, Bits: 4, Delta: 8, Seed: 7, Parallel: 3},
+			req:  Request{Network: "gpt2", Mode: vf.LowPower, Delta: 8, Seed: 7, Bits: 4, Runtime: sim.Runtime{Beta: 25, Parallel: 3}},
+			want: Request{Network: "gpt2", Mode: vf.LowPower, Bits: 4, Delta: 8, Seed: 7, Runtime: sim.Runtime{Beta: 25, Parallel: 3}},
 		},
 		{
 			name: "spatial fidelity is runtime-only",
-			req:  Request{Network: "resnet18", Mode: vf.LowPower, Fidelity: sim.SpatialPDN},
-			want: Request{Network: "resnet18", Mode: vf.LowPower, Beta: 50, Bits: 8, Delta: 16, Seed: 1, Parallel: 1, Fidelity: sim.SpatialPDN},
+			req:  Request{Network: "resnet18", Mode: vf.LowPower, Runtime: sim.Runtime{Fidelity: sim.SpatialPDN}},
+			want: Request{Network: "resnet18", Mode: vf.LowPower, Bits: 8, Delta: 16, Seed: 1, Runtime: sim.Runtime{Beta: 50, Parallel: 1, Fidelity: sim.SpatialPDN}},
 		},
 		{
 			name: "spatial knobs pass through outside the key",
-			req:  Request{Network: "resnet18", Mode: vf.LowPower, Fidelity: sim.SpatialPDN, SpatialWindow: 2, SpatialSkipMV: 3, SpatialAdaptive: true},
-			want: Request{Network: "resnet18", Mode: vf.LowPower, Beta: 50, Bits: 8, Delta: 16, Seed: 1, Parallel: 1, Fidelity: sim.SpatialPDN, SpatialWindow: 2, SpatialSkipMV: 3, SpatialAdaptive: true},
+			req:  Request{Network: "resnet18", Mode: vf.LowPower, Runtime: sim.Runtime{Fidelity: sim.SpatialPDN, SpatialWindow: 2, SpatialSkipMV: 3, SpatialAdaptive: true}},
+			want: Request{Network: "resnet18", Mode: vf.LowPower, Bits: 8, Delta: 16, Seed: 1, Runtime: sim.Runtime{Beta: 50, Parallel: 1, Fidelity: sim.SpatialPDN, SpatialWindow: 2, SpatialSkipMV: 3, SpatialAdaptive: true}},
 		},
 		{name: "non-pow2 delta", req: Request{Network: "resnet18", Mode: vf.LowPower, Delta: 12}, wantErr: true},
 		{name: "negative delta", req: Request{Network: "resnet18", Mode: vf.LowPower, Delta: -2}, wantErr: true},
 		{name: "bad bits", req: Request{Network: "resnet18", Mode: vf.LowPower, Bits: 40}, wantErr: true},
 		{name: "bad mode", req: Request{Network: "resnet18", Mode: vf.Mode(9)}, wantErr: true},
-		{name: "bad fidelity", req: Request{Network: "resnet18", Mode: vf.LowPower, Fidelity: sim.Fidelity(9)}, wantErr: true},
-		{name: "negative parallel", req: Request{Network: "resnet18", Mode: vf.LowPower, Parallel: -1}, wantErr: true},
-		{name: "negative spatial window", req: Request{Network: "resnet18", Mode: vf.LowPower, SpatialWindow: -1}, wantErr: true},
-		{name: "negative spatial skip", req: Request{Network: "resnet18", Mode: vf.LowPower, SpatialSkipMV: -0.5}, wantErr: true},
-		{name: "NaN spatial skip", req: Request{Network: "resnet18", Mode: vf.LowPower, SpatialSkipMV: math.NaN()}, wantErr: true},
+		{name: "bad fidelity", req: Request{Network: "resnet18", Mode: vf.LowPower, Runtime: sim.Runtime{Fidelity: sim.Fidelity(9)}}, wantErr: true},
+		{name: "negative parallel", req: Request{Network: "resnet18", Mode: vf.LowPower, Runtime: sim.Runtime{Parallel: -1}}, wantErr: true},
+		{name: "negative spatial window", req: Request{Network: "resnet18", Mode: vf.LowPower, Runtime: sim.Runtime{SpatialWindow: -1}}, wantErr: true},
+		{name: "negative spatial skip", req: Request{Network: "resnet18", Mode: vf.LowPower, Runtime: sim.Runtime{SpatialSkipMV: -0.5}}, wantErr: true},
+		{name: "NaN spatial skip", req: Request{Network: "resnet18", Mode: vf.LowPower, Runtime: sim.Runtime{SpatialSkipMV: math.NaN()}}, wantErr: true},
+		{name: "Inf spatial skip", req: Request{Network: "resnet18", Mode: vf.LowPower, Runtime: sim.Runtime{SpatialSkipMV: math.Inf(1)}}, wantErr: true},
 	}
 	for _, c := range cases {
 		got, key, err := c.req.normalize()
@@ -336,8 +337,8 @@ func TestSpatialSolverStatsThread(t *testing.T) {
 	if st := s.Stats(); st.SpatialSolves != 0 || st.SpatialSkips != 0 || st.SpatialVCycles != 0 || st.SpatialSaturated != 0 {
 		t.Fatalf("analytic request moved the spatial counters: %+v", st)
 	}
-	req := Request{Network: "resnet18", Mode: vf.LowPower, Fidelity: sim.SpatialPDN,
-		SpatialSkipMV: 30, SpatialAdaptive: true}
+	req := Request{Network: "resnet18", Mode: vf.LowPower,
+		Runtime: sim.Runtime{Fidelity: sim.SpatialPDN, SpatialSkipMV: 30, SpatialAdaptive: true}}
 	if _, err := s.Submit(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}

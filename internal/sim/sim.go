@@ -9,35 +9,28 @@
 package sim
 
 import (
+	"context"
+	"fmt"
+	"math"
+
 	"aim/internal/compiler"
 	"aim/internal/irdrop"
 	"aim/internal/pim"
 	"aim/internal/runner"
 	"aim/internal/vf"
-	"context"
 )
 
-// Options configures a run.
-type Options struct {
-	// Beta is Algorithm 2's β (cycles); the paper's reference point is 50.
+// Runtime holds the knobs of AIM's runtime hardware half (paper
+// Fig. 6): IR-Booster's β horizon, the worker count, the fidelity tier
+// and the spatial tier's solve cadence. None of them is part of a
+// compiled plan, so one plan serves every setting. The pipeline and
+// the serving runtime embed this one value, and each entry point
+// checks it once, through Validate. The zero value is the reference
+// configuration.
+type Runtime struct {
+	// Beta is Algorithm 2's β (cycles); <= 0 selects the paper's
+	// reference point, 50.
 	Beta int
-	// CyclesPerWave is how many cycles each scheduled wave is simulated
-	// for (its Rounds multiplier weights the aggregate).
-	CyclesPerWave int
-	// Mode selects sprint or low-power pair selection.
-	Mode vf.Mode
-	// UseBooster enables IR-Booster; false runs the DVFS baseline.
-	UseBooster bool
-	// Aggressive enables Algorithm 2's aggressive-level adjustment;
-	// false pins groups at their software-guided safe level.
-	Aggressive bool
-	// ToggleMean/ToggleSigma parameterize the per-cycle input flip
-	// intensity process (clipped normal).
-	ToggleMean, ToggleSigma float64
-	// Seed drives all stochastic components.
-	Seed int64
-	// TraceWave, when >= 0, records per-cycle traces for that wave.
-	TraceWave int
 	// Parallel bounds the worker pool that shards the wave schedule:
 	// 0 means one worker per CPU (GOMAXPROCS), 1 forces the serial
 	// reference path, N > 1 uses N workers. Every wave draws from its
@@ -73,6 +66,50 @@ type Options struct {
 	// remain bit-identical across worker counts. False keeps the fixed
 	// window, the determinism reference the manifest pins.
 	SpatialAdaptive bool
+}
+
+// Validate rejects knob values that cannot mean anything: a negative
+// worker count or spatial window, an unknown fidelity tier, and a
+// negative or non-finite skip threshold. The error carries no package
+// prefix; each entry point adds its own.
+func (r Runtime) Validate() error {
+	switch {
+	case r.Parallel < 0:
+		return fmt.Errorf("negative parallel %d (0 = default, 1 = serial)", r.Parallel)
+	case !r.Fidelity.Valid():
+		return fmt.Errorf("unknown fidelity %d (want %v, %v or %v)",
+			int(r.Fidelity), AnalyticToggles, PackedToggles, SpatialPDN)
+	case r.SpatialWindow < 0:
+		return fmt.Errorf("negative spatial window %d (0 = default)", r.SpatialWindow)
+	case r.SpatialSkipMV < 0 || math.IsNaN(r.SpatialSkipMV) || math.IsInf(r.SpatialSkipMV, 0):
+		return fmt.Errorf("spatial skip threshold %v mV (want a finite value >= 0)", r.SpatialSkipMV)
+	}
+	return nil
+}
+
+// Options configures a run.
+type Options struct {
+	// Runtime carries the per-run knobs (β, workers, fidelity tier,
+	// spatial cadence); its fields are promoted, so opt.Beta and
+	// opt.Fidelity read and write them directly.
+	Runtime
+	// CyclesPerWave is how many cycles each scheduled wave is simulated
+	// for (its Rounds multiplier weights the aggregate).
+	CyclesPerWave int
+	// Mode selects sprint or low-power pair selection.
+	Mode vf.Mode
+	// UseBooster enables IR-Booster; false runs the DVFS baseline.
+	UseBooster bool
+	// Aggressive enables Algorithm 2's aggressive-level adjustment;
+	// false pins groups at their software-guided safe level.
+	Aggressive bool
+	// ToggleMean/ToggleSigma parameterize the per-cycle input flip
+	// intensity process (clipped normal).
+	ToggleMean, ToggleSigma float64
+	// Seed drives all stochastic components.
+	Seed int64
+	// TraceWave, when >= 0, records per-cycle traces for that wave.
+	TraceWave int
 	// Warm, when non-nil, pools the per-worker scratch across Run calls
 	// (a serving runtime executing many requests). Ignored on the
 	// serial reference path; results are bit-identical either way.
@@ -90,7 +127,7 @@ type Options struct {
 // (paper Fig. 3).
 func DefaultOptions(transformer bool, mode vf.Mode) Options {
 	o := Options{
-		Beta: 50, CyclesPerWave: 400, Mode: mode,
+		Runtime: Runtime{Beta: 50}, CyclesPerWave: 400, Mode: mode,
 		UseBooster: true, Aggressive: true,
 		ToggleMean: 0.54, ToggleSigma: 0.16,
 		Seed: 1, TraceWave: 0,

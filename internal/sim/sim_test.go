@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"aim/internal/compiler"
@@ -266,5 +268,32 @@ func TestAPIMRunsAndMitigatesLess(t *testing.T) {
 	}
 	if a.WeightOpMitigation < 0.35 || a.WeightOpMitigation > 0.62 {
 		t.Errorf("APIM mitigation = %.1f%%, want ~50%%", a.WeightOpMitigation*100)
+	}
+}
+
+func TestRuntimeValidate(t *testing.T) {
+	cases := []struct {
+		name    string
+		rt      Runtime
+		wantErr string // "" = valid
+	}{
+		{name: "zero value", rt: Runtime{}},
+		{name: "explicit values", rt: Runtime{Beta: 25, Parallel: 4, Fidelity: SpatialPDN, SpatialWindow: 2, SpatialSkipMV: 3, SpatialAdaptive: true}},
+		{name: "negative beta selects the default", rt: Runtime{Beta: -1}},
+		{name: "negative parallel", rt: Runtime{Parallel: -1}, wantErr: "negative parallel"},
+		{name: "invalid fidelity", rt: Runtime{Fidelity: Fidelity(9)}, wantErr: "unknown fidelity"},
+		{name: "negative spatial window", rt: Runtime{SpatialWindow: -1}, wantErr: "negative spatial window"},
+		{name: "negative spatial skip", rt: Runtime{SpatialSkipMV: -0.5}, wantErr: "spatial skip threshold"},
+		{name: "NaN spatial skip", rt: Runtime{SpatialSkipMV: math.NaN()}, wantErr: "spatial skip threshold"},
+		{name: "Inf spatial skip", rt: Runtime{SpatialSkipMV: math.Inf(1)}, wantErr: "spatial skip threshold"},
+	}
+	for _, c := range cases {
+		err := c.rt.Validate()
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", c.name, err)
+		case c.wantErr != "" && (err == nil || !strings.HasPrefix(err.Error(), c.wantErr)):
+			t.Errorf("%s: err = %v, want one starting %q", c.name, err, c.wantErr)
+		}
 	}
 }

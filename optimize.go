@@ -3,6 +3,7 @@ package aim
 import (
 	"fmt"
 
+	"aim/internal/core"
 	"aim/internal/fxp"
 	"aim/internal/quant"
 	"aim/internal/tensor"
@@ -50,12 +51,11 @@ func Optimize(weights []float64, opt OptimizeOptions) (OptimizedWeights, error) 
 	if len(weights) == 0 {
 		return OptimizedWeights{}, fmt.Errorf("aim: empty weight tensor")
 	}
-	if opt.Bits == 0 {
-		opt.Bits = 8
+	bits, err := core.ResolveBits(opt.Bits)
+	if err != nil {
+		return OptimizedWeights{}, fmt.Errorf("aim: %w", err)
 	}
-	if opt.Bits < 2 || opt.Bits > 16 {
-		return OptimizedWeights{}, fmt.Errorf("aim: bits %d out of range [2,16]", opt.Bits)
-	}
+	opt.Bits = bits
 	if opt.Lambda == 0 {
 		opt.Lambda = quant.DefaultLHROptions().Lambda
 	}
