@@ -75,8 +75,9 @@ awk -v ratio="$$BENCH_RATIO" 'BEGIN { n = 0 } \
 endef
 
 # Perf trajectory: ns/op of the packed vs legacy Rtog hot path and the
-# end-to-end sim fidelity modes, rendered as BENCH_rtog.json — the
-# artifact CI uploads on every run so regressions show up as a series.
+# end-to-end packed (serial and sharded) and analytic sim runs,
+# rendered as BENCH_rtog.json — the artifact CI uploads on every run
+# so regressions show up as a series.
 # Three full passes, interleaved by invocation rather than go test's
 # -count (which repeats each benchmark consecutively and lets slow
 # machine drift bias whichever name runs later); the shell loop exits
@@ -85,7 +86,7 @@ bench-rtog:
 	@rm -f BENCH_rtog.txt
 	for i in 1 2 3; do \
 		$(GO) test -run '^$$' -bench 'BenchmarkRtog' -benchtime 1000x ./internal/pim >> BENCH_rtog.txt || exit 1; \
-		$(GO) test -run '^$$' -bench 'BenchmarkSim(Packed(Bytes|Parallel)?|Analytic)$$' -benchtime 5x ./internal/sim >> BENCH_rtog.txt || exit 1; \
+		$(GO) test -run '^$$' -bench 'BenchmarkSim(Packed(Parallel)?|Analytic)$$' -benchtime 5x ./internal/sim >> BENCH_rtog.txt || exit 1; \
 	done
 	@$(bench_json) BENCH_rtog.txt > BENCH_rtog.json
 	@rm -f BENCH_rtog.txt

@@ -83,7 +83,7 @@ type Config struct {
 	// Seed drives every stochastic component (default 1).
 	Seed int64
 	// Parallel bounds the simulator's wave-sharding worker pool:
-	// 0 uses one worker per CPU, 1 forces the serial reference path,
+	// 0 uses one worker per CPU, 1 runs every wave serially,
 	// N > 1 uses N workers. Results are bit-identical for any value —
 	// the knob only trades wall-clock time for cores. Negative values
 	// are rejected.

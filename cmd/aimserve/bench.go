@@ -256,9 +256,9 @@ func benchPhaseRun(client *http.Client, url, network string, rate, secs float64,
 		Requests:   n,
 		OK:         tl.ok,
 		Shed:       tl.shed,
-		P50MS:      float64(percentileDur(tl.latencies, 0.50)) / float64(time.Millisecond),
-		P95MS:      float64(percentileDur(tl.latencies, 0.95)) / float64(time.Millisecond),
-		P99MS:      float64(percentileDur(tl.latencies, 0.99)) / float64(time.Millisecond),
+		P50MS:      float64(serve.Percentile(tl.latencies, 0.50)) / float64(time.Millisecond),
+		P95MS:      float64(serve.Percentile(tl.latencies, 0.95)) / float64(time.Millisecond),
+		P99MS:      float64(serve.Percentile(tl.latencies, 0.99)) / float64(time.Millisecond),
 		Tiers:      tl.tiers,
 	}
 	if tl.ok+tl.shed > 0 {

@@ -12,41 +12,11 @@ import (
 	"aim/internal/serve"
 )
 
-// clientRequest is the JSON body this command POSTs to /v1/submit.
-// Field names mirror the server's wire format; zero values are
-// omitted so the server applies its defaults.
-type clientRequest struct {
-	Network  string `json:"network"`
-	Mode     string `json:"mode,omitempty"`
-	Beta     int    `json:"beta,omitempty"`
-	Bits     int    `json:"bits,omitempty"`
-	Delta    int    `json:"delta,omitempty"`
-	Seed     int64  `json:"seed,omitempty"`
-	Parallel int    `json:"parallel,omitempty"`
-	Fidelity string `json:"fidelity,omitempty"`
-	Client   string `json:"client,omitempty"`
-}
-
 // clientResponse is the slice of the server's answer the generator
 // needs: which tier served and whether the plan was cached.
 type clientResponse struct {
 	Fidelity   string `json:"fidelity"`
 	PlanCached bool   `json:"plan_cached"`
-}
-
-// wireFromRequest renders a serving request as the HTTP body.
-func wireFromRequest(r serve.Request) clientRequest {
-	c := clientRequest{
-		Network: r.Network, Mode: r.Mode.String(),
-		Beta: r.Beta, Bits: r.Bits, Delta: r.Delta,
-		Seed: r.Seed, Parallel: r.Parallel,
-	}
-	if r.AdaptFidelity {
-		c.Fidelity = "auto"
-	} else {
-		c.Fidelity = r.Fidelity.String()
-	}
-	return c
 }
 
 // shot is one request's client-side outcome.
@@ -59,7 +29,7 @@ type shot struct {
 
 // fire POSTs one request and records the outcome.
 func fire(client *http.Client, url string, req serve.Request) shot {
-	body, err := json.Marshal(wireFromRequest(req))
+	body, err := serve.EncodeSubmit(req)
 	if err != nil {
 		return shot{err: err}
 	}
@@ -147,9 +117,9 @@ func runAgainstTarget(target string, reqs []serve.Request, offsets []time.Durati
 		t.ok, t.shed, t.failed, elapsed.Round(time.Millisecond))
 	if t.ok > 0 {
 		fmt.Fprintf(stdout, "  latency:   p50 %v  p95 %v  p99 %v (client-side)\n",
-			percentileDur(t.latencies, 0.50).Round(time.Millisecond),
-			percentileDur(t.latencies, 0.95).Round(time.Millisecond),
-			percentileDur(t.latencies, 0.99).Round(time.Millisecond))
+			serve.Percentile(t.latencies, 0.50).Round(time.Millisecond),
+			serve.Percentile(t.latencies, 0.95).Round(time.Millisecond),
+			serve.Percentile(t.latencies, 0.99).Round(time.Millisecond))
 		fmt.Fprintf(stdout, "  tiers:     %d analytic / %d packed / %d spatial\n",
 			t.tiers["analytic"], t.tiers["packed"], t.tiers["spatial"])
 	}

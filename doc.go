@@ -98,15 +98,15 @@
 // Server type amortizes the former: a concurrency-safe, stampede-free
 // plan cache keyed by (network, mode, bits, δ, seed) compiles each
 // deployment point exactly once, an admission queue groups concurrent
-// Submit calls into per-plan batches, and an executor pool runs them
-// over warm simulator state. A served Result is identical to a cold
-// Run of the same Config, and for a fixed request list the aggregate
-// is byte-identical for any worker count. With the cache warm a
-// repeated request skips straight to execution — ~25x faster than a
-// cold Run on resnet18 and ~57x on the LLM deployment points, where
-// the HR-aware mapping SA dominates compilation (see BENCH_serve.json
-// from `make bench-serve`, and cmd/aimserve for a closed-loop load
-// generator with Poisson arrivals over the full zoo).
+// Submit calls into per-plan batches, and an executor pool runs them.
+// A served Result is identical to a cold Run of the same Config, and
+// for a fixed request list the aggregate is byte-identical for any
+// worker count. With the cache warm a repeated request skips straight
+// to execution — ~25x faster than a cold Run on resnet18 and ~57x on
+// the LLM deployment points, where the HR-aware mapping SA dominates
+// compilation (see BENCH_serve.json from `make bench-serve`, and
+// cmd/aimserve for a closed-loop load generator with Poisson arrivals
+// over the full zoo).
 //
 // The plan cache survives the process when ServerOptions.PlanCacheDir
 // is set (CLI: -plan-cache-dir on aimc and aimserve): compiled plans

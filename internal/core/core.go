@@ -101,8 +101,8 @@ func ResolveWDSDelta(d int) (int, error) {
 // Pipeline is a configured AIM deployment. The compile-relevant
 // fields (Chip, Mode, Bits, WDSDelta, Seed) determine the Plan; the
 // embedded sim.Runtime knobs (β, workers, fidelity tier, spatial
-// cadence) and Warm only shape Execute, so one Plan serves every
-// runtime setting.
+// cadence) only shape Execute, so one Plan serves every runtime
+// setting.
 type Pipeline struct {
 	sim.Runtime
 	Chip pim.Config
@@ -113,10 +113,6 @@ type Pipeline struct {
 	// paper's ablation configuration; 0 disables WDS).
 	WDSDelta int
 	Seed     int64
-	// Warm, when non-nil, lets the simulator reuse its per-worker
-	// scratch across Execute calls — the serving runtime's warm
-	// simulator state. Results are bit-identical with or without it.
-	Warm *sim.WarmState
 }
 
 // NewPipeline returns the reference deployment: the 7nm 256-TOPS chip,
@@ -153,7 +149,6 @@ func (p *Pipeline) SimOptions(s Stage, transformer bool) sim.Options {
 	opt := sim.DefaultOptions(transformer, p.Mode)
 	opt.Runtime = p.Runtime
 	opt.Seed = p.Seed
-	opt.Warm = p.Warm
 	switch s {
 	case StageBaseline:
 		opt.UseBooster = false

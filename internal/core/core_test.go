@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"aim/internal/model"
-	"aim/internal/sim"
 	"aim/internal/vf"
 )
 
@@ -110,16 +109,13 @@ func TestExecuteSharedPlanConcurrently(t *testing.T) {
 	net := model.ResNet18(seed)
 	plan := p.Compile(net)
 	want := p.Execute(plan)
-	warm := sim.NewWarmState()
 	var wg sync.WaitGroup
 	errs := make([]bool, 8)
 	for i := range errs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			q := NewPipeline(vf.LowPower)
-			q.Warm = warm
-			got := q.Execute(plan)
+			got := NewPipeline(vf.LowPower).Execute(plan)
 			errs[i] = !reflect.DeepEqual(got.AIM.Result, want.AIM.Result)
 		}(i)
 	}

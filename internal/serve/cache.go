@@ -1,12 +1,3 @@
-// Package serve is the compile-once/serve-many runtime (the paper's
-// d-Matrix/Houmo serving scenario, §1/§6.8): a concurrency-safe plan
-// cache keyed by everything the offline compiler consumes, an
-// admission queue with a batch former grouping concurrent requests by
-// plan, and an executor pool running compiled plans over warm
-// simulator state. Repeated requests for one deployment point
-// amortize the expensive offline phase (LHR proximal tuning, WDS,
-// HR-aware mapping SA) to zero; per-request results are identical to a
-// cold one-shot run.
 package serve
 
 import (
@@ -18,7 +9,7 @@ import (
 )
 
 // Key identifies one compiled plan: exactly the inputs the offline
-// phase consumes. Runtime knobs (β, worker counts, warm state) are
+// phase consumes. Runtime knobs (β, worker counts, fidelity tier) are
 // deliberately absent — they vary per request without recompiling.
 type Key struct {
 	// Network is the zoo workload name.

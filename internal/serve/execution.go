@@ -9,7 +9,7 @@ import (
 // This file is the execution layer: the pool of executor goroutines
 // draining the scheduling layer's batches. Each batch does one cache
 // lookup (compiling at most once per key across the fleet), then runs
-// its requests back to back so the plan and the warm scratch stay hot.
+// its requests back to back so the plan stays hot.
 // Adaptive requests resolve their fidelity tier here — at execution
 // time, from the ladder — so a tier stepped down mid-queue serves at
 // the tier that matches current load.
@@ -25,7 +25,7 @@ func (s *Server) executor() {
 			if err != nil {
 				return nil, err
 			}
-			return s.pipelineFor(b.reqs[0].req).Compile(net), nil
+			return pipelineFor(b.reqs[0].req).Compile(net), nil
 		})
 		for _, p := range b.reqs {
 			if err != nil {
@@ -38,7 +38,7 @@ func (s *Server) executor() {
 				// bytes for this request are load-independent.
 				r.Fidelity = s.ladder.tier()
 			}
-			rep := s.pipelineFor(r).Execute(plan)
+			rep := pipelineFor(r).Execute(plan)
 			s.served[r.Fidelity].Add(1)
 			s.noteSolveStats(rep)
 			p.reply <- answer{resp: Response{Report: rep, Tier: r.Fidelity, PlanCached: hit}}

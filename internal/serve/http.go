@@ -83,6 +83,31 @@ type wireError struct {
 	Error string `json:"error"`
 }
 
+// EncodeSubmit renders a Request as a POST /v1/submit body — the
+// client half of the wire format decodeSubmit parses, so that
+// decodeSubmit(EncodeSubmit(r)) == r for every request decodeSubmit
+// can produce. An adaptive request is sent as fidelity "auto".
+func EncodeSubmit(r Request) ([]byte, error) {
+	w := wireRequest{
+		Network:         r.Network,
+		Mode:            r.Mode.String(),
+		Beta:            r.Beta,
+		Bits:            r.Bits,
+		Delta:           r.Delta,
+		Seed:            r.Seed,
+		Parallel:        r.Parallel,
+		Fidelity:        r.Fidelity.String(),
+		SpatialWindow:   r.SpatialWindow,
+		SpatialSkipMV:   r.SpatialSkipMV,
+		SpatialAdaptive: r.SpatialAdaptive,
+		Client:          r.Client,
+	}
+	if r.AdaptFidelity {
+		w.Fidelity = "auto"
+	}
+	return json.Marshal(w)
+}
+
 // decodeSubmit parses a submit body into a Request. Unknown fields,
 // trailing garbage, bad modes and bad fidelity spellings are errors —
 // the fuzz target FuzzSubmitDecode pins that no input panics.

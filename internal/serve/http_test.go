@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -360,5 +361,51 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 	}
 	if m.P50MS <= 0 {
 		t.Errorf("p50 = %v, want > 0", m.P50MS)
+	}
+}
+
+// TestEncodeSubmitRoundTrip pins the wire format from both ends:
+// decoding an encoded request gives back the request, for requests
+// that set every wire field — the spatial knobs and "auto" included.
+func TestEncodeSubmitRoundTrip(t *testing.T) {
+	full := Request{
+		Network: "resnet18", Mode: vf.Sprint, Bits: 4, Delta: 8, Seed: 7,
+		Runtime: sim.Runtime{
+			Beta: 25, Parallel: 2, Fidelity: sim.SpatialPDN,
+			SpatialWindow: 8, SpatialSkipMV: 0.75, SpatialAdaptive: true,
+		},
+		Client: "alice",
+	}
+	auto := full
+	auto.Fidelity, auto.AdaptFidelity = 0, true
+	disabled := Request{Network: "gpt2", Mode: vf.LowPower, Delta: -1, Runtime: sim.Runtime{Fidelity: sim.PackedToggles}}
+	for _, r := range []Request{full, auto, disabled, {Network: "vit", Mode: vf.LowPower}} {
+		body, err := EncodeSubmit(r)
+		if err != nil {
+			t.Fatalf("EncodeSubmit(%+v): %v", r, err)
+		}
+		got, err := decodeSubmit(body)
+		if err != nil {
+			t.Fatalf("decodeSubmit(%s): %v", body, err)
+		}
+		if got != r {
+			t.Errorf("round trip through %s:\n  got  %+v\n  want %+v", body, got, r)
+		}
+	}
+	// The full request must exercise every field of the wire struct, so
+	// a field added to the decoder but not the encoder fails here.
+	body, err := EncodeSubmit(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w wireRequest
+	if err := json.Unmarshal(body, &w); err != nil {
+		t.Fatal(err)
+	}
+	v := reflect.ValueOf(w)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Errorf("full request leaves wire field %s unset", v.Type().Field(i).Name)
+		}
 	}
 }

@@ -9,8 +9,7 @@
 //	scheduling (scheduling.go, batch former grouping admitted requests by
 //	            ladder.go)     plan, plus the SLO-driven fidelity
 //	                           degradation ladder
-//	execution  (execution.go)  executor pool running compiled plans over
-//	                           warm simulator state
+//	execution  (execution.go)  executor pool running compiled plans
 //
 // A concurrency-safe plan cache keyed by everything the offline
 // compiler consumes sits under the execution layer, so repeated
@@ -244,13 +243,12 @@ type batch struct {
 // shedding), the scheduling layer's batch former groups concurrent
 // admissions by plan key and its degradation ladder picks the fidelity
 // tier for adaptive requests, and the execution layer's pool runs each
-// batch against the shared plan cache, reusing warm simulator state.
+// batch against the shared plan cache.
 // The transport layer (Handler) puts an HTTP/JSON front door on the
 // same path.
 type Server struct {
 	opt     Options
 	cache   *Cache
-	warm    *sim.WarmState
 	limiter *limiter // nil: no per-client rate limiting
 	ladder  *ladder
 	admit   chan *pending
@@ -324,7 +322,6 @@ func New(opt Options) (*Server, error) {
 	s := &Server{
 		opt:     opt,
 		cache:   cache,
-		warm:    sim.NewWarmState(),
 		ladder:  newLadder(opt.TargetP95),
 		admit:   make(chan *pending, opt.Queue),
 		exec:    make(chan *batch, opt.Queue),
@@ -352,13 +349,12 @@ func (s *Server) Close() {
 // pipelineFor configures a core pipeline from a normalized request.
 // Compile-relevant fields mirror the plan key; runtime knobs ride
 // along per request.
-func (s *Server) pipelineFor(r Request) *core.Pipeline {
+func pipelineFor(r Request) *core.Pipeline {
 	p := core.NewPipeline(r.Mode)
 	p.Runtime = r.Runtime
 	p.Seed = r.Seed
 	p.Bits = r.Bits
 	p.WDSDelta = r.Delta
-	p.Warm = s.warm
 	return p
 }
 
@@ -459,9 +455,9 @@ func (s *Server) Metrics() Metrics {
 	}
 	if len(lat) > 0 {
 		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		m.P50 = percentile(lat, 0.50)
-		m.P95 = percentile(lat, 0.95)
-		m.P99 = percentile(lat, 0.99)
+		m.P50 = Percentile(lat, 0.50)
+		m.P95 = Percentile(lat, 0.95)
+		m.P99 = Percentile(lat, 0.99)
 	}
 	if refused := st.Shed + st.RateLimited; refused > 0 {
 		m.ShedRate = float64(refused) / float64(st.Requests+refused)
@@ -472,14 +468,14 @@ func (s *Server) Metrics() Metrics {
 	return m
 }
 
-// percentile returns the q-quantile of sorted latencies (nearest-rank).
-func percentile(sorted []time.Duration, q float64) time.Duration {
-	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
+// Percentile returns the nearest-rank q-quantile of sorted latencies:
+// the ceil(q·n)-th smallest sample, clamped to the first and last. An
+// empty slice yields 0. The server metrics, the degradation ladder and
+// the aimserve client report all use it.
+func Percentile(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
 	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	rank := int(math.Ceil(q * float64(len(sorted))))
+	return sorted[min(max(rank, 1), len(sorted))-1]
 }

@@ -182,8 +182,7 @@ func TestSubmitMatchesColdRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := s.pipelineFor(nr)
-	cold.Warm = nil
+	cold := pipelineFor(nr)
 	net, err := coldNet(req.Network)
 	if err != nil {
 		t.Fatal(err)
@@ -458,5 +457,38 @@ func TestPlanCacheDirUnopenable(t *testing.T) {
 	}
 	if _, err := New(Options{PlanCacheDir: file}); err == nil {
 		t.Fatal("New with a file as plan-cache dir: want error, got nil")
+	}
+}
+
+// TestPercentileNearestRank: Percentile returns the ceil(q·n)-th
+// smallest sample. The n=12, p95 row is the one a round-half-up rank
+// gets wrong (it returns the 11th sample).
+func TestPercentileNearestRank(t *testing.T) {
+	ms := func(n int) []time.Duration {
+		out := make([]time.Duration, n)
+		for i := range out {
+			out[i] = time.Duration(i+1) * time.Millisecond
+		}
+		return out
+	}
+	for _, c := range []struct {
+		n    int
+		q    float64
+		want time.Duration // the rank, in ms
+	}{
+		{0, 0.5, 0},
+		{1, 0.5, 1},
+		{1, 0.99, 1},
+		{12, 0.95, 12},
+		{12, 0.5, 6},
+		{10, 0.5, 5},
+		{20, 0.95, 19},
+		{100, 0.99, 99},
+		{100, 0, 1},
+		{100, 1, 100},
+	} {
+		if got := Percentile(ms(c.n), c.q); got != c.want*time.Millisecond {
+			t.Errorf("Percentile(n=%d, q=%v) = %v, want %v", c.n, c.q, got, c.want*time.Millisecond)
+		}
 	}
 }

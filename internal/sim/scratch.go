@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"sync"
-
 	"aim/internal/irdrop"
 	"aim/internal/mapping"
 	"aim/internal/pdn"
@@ -10,46 +8,6 @@ import (
 	"aim/internal/stream"
 	"aim/internal/xrand"
 )
-
-// WarmState pools waveScratch instances across Run calls — the warm
-// simulator state a serving runtime keeps between requests so repeated
-// executions stop re-growing the packed banks, toggle buffers and RNG
-// state from zero. It is safe for concurrent use: each chunk worker
-// checks a scratch out for the duration of its chunk and returns it
-// when done. Reuse never changes an RNG draw, so results are
-// bit-identical with or without a WarmState (TestWarmStateMatchesSerial).
-type WarmState struct {
-	mu   sync.Mutex
-	free []*waveScratch
-}
-
-// NewWarmState returns an empty pool.
-func NewWarmState() *WarmState { return &WarmState{} }
-
-// get checks a scratch out of the pool (nil WarmState allocates).
-func (w *WarmState) get() *waveScratch {
-	if w == nil {
-		return &waveScratch{}
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if n := len(w.free); n > 0 {
-		s := w.free[n-1]
-		w.free = w.free[:n-1]
-		return s
-	}
-	return &waveScratch{}
-}
-
-// put returns a scratch to the pool.
-func (w *WarmState) put(s *waveScratch) {
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	w.free = append(w.free, s)
-	w.mu.Unlock()
-}
 
 // waveScratch holds the per-shard buffers the chunked wave executor
 // reuses across the waves of its chunk: the synthetic packed banks,
@@ -59,16 +17,14 @@ func (w *WarmState) put(s *waveScratch) {
 // the identical bits, it just stops feeding the garbage collector
 // (~half the simulator's allocations were these banks).
 //
-// A waveScratch belongs to one worker goroutine; the serial reference
-// path (Options.Parallel == 1) passes nil and allocates per wave, as
-// the historical simulator did.
+// Run gives each chunk of waves a fresh waveScratch that lives for
+// that one call; it belongs to the one worker goroutine running the
+// chunk.
 type waveScratch struct {
 	banks  []*pim.Bank
 	bankN  int
 	words  [][]uint64
 	wordN  int
-	bytes  [][]uint8
-	byteN  int
 	codes  []int32
 	toggle []*groupToggles
 	togN   int
@@ -93,8 +49,6 @@ type waveScratch struct {
 
 // pooledSlice returns a zeroed slice of length n from a high-water
 // pool: entry *hw is reused when its capacity suffices, else replaced.
-// The typed accessors below handle the nil-scratch (serial reference)
-// path before calling in.
 func pooledSlice[T int | int64 | float64](pool *[][]T, hw *int, n int) []T {
 	if *hw < len(*pool) && cap((*pool)[*hw]) >= n {
 		out := (*pool)[*hw][:n]
@@ -115,31 +69,19 @@ func pooledSlice[T int | int64 | float64](pool *[][]T, hw *int, n int) []T {
 // intSlice, int64Slice and floatSlice are the typed pool accessors
 // runWave draws its per-wave working slices from.
 func (s *waveScratch) intSlice(n int) []int {
-	if s == nil {
-		return make([]int, n)
-	}
 	return pooledSlice(&s.opInts, &s.opIntN, n)
 }
 
 func (s *waveScratch) int64Slice(n int) []int64 {
-	if s == nil {
-		return make([]int64, n)
-	}
 	return pooledSlice(&s.opInt64s, &s.opInt64N, n)
 }
 
 func (s *waveScratch) floatSlice(n int) []float64 {
-	if s == nil {
-		return make([]float64, n)
-	}
 	return pooledSlice(&s.opFloats, &s.opFloatN, n)
 }
 
 // groupSlices returns zeroed groups/engines slices of length n.
 func (s *waveScratch) groupSlices(n int) ([]*groupRun, []*groupToggles) {
-	if s == nil {
-		return make([]*groupRun, n), make([]*groupToggles, n)
-	}
 	if cap(s.groups) < n {
 		s.groups = make([]*groupRun, n)
 		s.engines = make([]*groupToggles, n)
@@ -156,9 +98,6 @@ func (s *waveScratch) groupSlices(n int) ([]*groupRun, []*groupToggles) {
 // taskHRBuf returns a length-n buffer for per-group task HRs (read
 // within newGroupToggles only, so one buffer serves every group).
 func (s *waveScratch) taskHRBuf(n int) []float64 {
-	if s == nil {
-		return make([]float64, n)
-	}
 	if cap(s.taskHRs) < n {
 		s.taskHRs = make([]float64, n)
 	}
@@ -170,9 +109,6 @@ func (s *waveScratch) taskHRBuf(n int) []float64 {
 // biggest per-wave allocation after the banks). Draw sequences are
 // identical to a fresh NewShard.
 func (s *waveScratch) shardRNG(seed int64, name string, shard int) *xrand.RNG {
-	if s == nil {
-		return xrand.NewShard(seed, name, shard)
-	}
 	if s.rng == nil {
 		s.rng = xrand.NewShard(seed, name, shard)
 	} else {
@@ -183,21 +119,14 @@ func (s *waveScratch) shardRNG(seed int64, name string, shard int) *xrand.RNG {
 
 // nextWave resets the high-water marks; the underlying storage stays.
 func (s *waveScratch) nextWave() {
-	if s == nil {
-		return
-	}
-	s.bankN, s.wordN, s.byteN, s.togN = 0, 0, 0, 0
+	s.bankN, s.wordN, s.togN = 0, 0, 0
 	s.opIntN, s.opInt64N, s.opFloatN = 0, 0, 0
 }
 
 // spatialEstimator returns the shard's SpatialPDN session, building it
-// on first use (or when the chip geometry changed). The nil-scratch
-// serial reference path builds a fresh session per wave.
+// on first use (a scratch lives for one Run, so cfg never changes).
 func (s *waveScratch) spatialEstimator(cfg pim.Config) *irdrop.Spatial {
-	if s == nil {
-		return newSpatialEstimator(cfg)
-	}
-	if s.spatial == nil || s.spatial.Groups() != cfg.Groups {
+	if s.spatial == nil {
 		s.spatial = newSpatialEstimator(cfg)
 	}
 	return s.spatial
@@ -214,9 +143,6 @@ func newSpatialEstimator(cfg pim.Config) *irdrop.Spatial {
 
 // bank pools pim.Bank construction.
 func (s *waveScratch) bank(codes []int32, cells, bits int) *pim.Bank {
-	if s == nil {
-		return pim.NewBank(codes, cells, bits)
-	}
 	if s.bankN < len(s.banks) {
 		b := pim.LoadBank(s.banks[s.bankN], codes, cells, bits)
 		s.banks[s.bankN] = b
@@ -232,9 +158,6 @@ func (s *waveScratch) bank(codes []int32, cells, bits int) *pim.Bank {
 // wordBuf pools the packed toggle-line buffers.
 func (s *waveScratch) wordBuf(n int) []uint64 {
 	words := stream.Words(n)
-	if s == nil {
-		return make([]uint64, words)
-	}
 	if s.wordN < len(s.words) && len(s.words[s.wordN]) == words {
 		w := s.words[s.wordN]
 		clear(w)
@@ -251,33 +174,9 @@ func (s *waveScratch) wordBuf(n int) []uint64 {
 	return w
 }
 
-// byteBuf pools the legacy byte-reference buffers.
-func (s *waveScratch) byteBuf(n int) []uint8 {
-	if s == nil {
-		return make([]uint8, n)
-	}
-	if s.byteN < len(s.bytes) && len(s.bytes[s.byteN]) == n {
-		b := s.bytes[s.byteN]
-		clear(b)
-		s.byteN++
-		return b
-	}
-	b := make([]uint8, n)
-	if s.byteN < len(s.bytes) {
-		s.bytes[s.byteN] = b
-	} else {
-		s.bytes = append(s.bytes, b)
-	}
-	s.byteN++
-	return b
-}
-
 // codeBuf returns the shared weight-code staging buffer (NewBank and
 // LoadBank copy out of it, so one buffer serves every task).
 func (s *waveScratch) codeBuf(n int) []int32 {
-	if s == nil {
-		return make([]int32, n)
-	}
 	if cap(s.codes) < n {
 		s.codes = make([]int32, n)
 	}
@@ -287,9 +186,6 @@ func (s *waveScratch) codeBuf(n int) []int32 {
 // toggles pools the per-group engine structs, keeping each one's bank
 // list capacity across waves.
 func (s *waveScratch) toggles() *groupToggles {
-	if s == nil {
-		return &groupToggles{}
-	}
 	if s.togN < len(s.toggle) {
 		gt := s.toggle[s.togN]
 		*gt = groupToggles{banks: gt.banks[:0]}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -209,34 +210,26 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestWarmStateMatchesSerial pins the serving runtime's warm-state
-// contract: pooling scratch across Run calls (and across fidelity
-// modes) never changes a bit of the Result versus the serial
-// reference, including when the pool is reused repeatedly.
-func TestWarmStateMatchesSerial(t *testing.T) {
+// TestScratchReuseMatchesFreshScratch pins the chunked executor's
+// scratch-reuse contract. Parallel = len(Waves) gives one chunk per
+// wave, so every wave starts on a fresh scratch; every other worker
+// count runs several waves back to back on one scratch, and must not
+// change a bit of the Result at any fidelity tier.
+func TestScratchReuseMatchesFreshScratch(t *testing.T) {
 	_, aim, net := compileBoth(t, "resnet18")
 	cfg := pim.DefaultConfig()
-	for _, fidelity := range []Fidelity{AnalyticToggles, PackedToggles} {
-		serialOpt := DefaultOptions(net.Transformer, vf.LowPower)
-		serialOpt.Parallel = 1
-		serialOpt.Fidelity = fidelity
-		serial := Run(aim, cfg, serialOpt)
-		warm := NewWarmState()
-		for round := 0; round < 3; round++ {
-			for _, workers := range []int{0, 1, 2, 3} {
-				opt := serialOpt
-				opt.Parallel = workers
-				opt.Warm = warm
-				got := Run(aim, cfg, opt)
-				if got.AvgMacroPowerMW != serial.AvgMacroPowerMW ||
-					got.TOPS != serial.TOPS ||
-					got.WorstDropMV != serial.WorstDropMV ||
-					got.AvgDropMV != serial.AvgDropMV ||
-					got.Failures != serial.Failures ||
-					got.UsefulCycles != serial.UsefulCycles {
-					t.Fatalf("fidelity %v round %d Parallel=%d with warm state diverges:\n  got=%+v\n  ser=%+v",
-						fidelity, round, workers, got, serial)
-				}
+	for _, fidelity := range []Fidelity{AnalyticToggles, PackedToggles, SpatialPDN} {
+		opt := DefaultOptions(net.Transformer, vf.LowPower)
+		opt.Seed = seed
+		opt.CyclesPerWave = 120
+		opt.Fidelity = fidelity
+		opt.Parallel = len(aim.Waves)
+		fresh := Run(aim, cfg, opt)
+		for _, workers := range []int{0, 1, 2, 3} {
+			opt.Parallel = workers
+			if got := Run(aim, cfg, opt); !reflect.DeepEqual(got, fresh) {
+				t.Errorf("fidelity %v Parallel=%d diverges from one fresh scratch per wave:\n  got=%+v\n  ref=%+v",
+					fidelity, workers, got, fresh)
 			}
 		}
 	}

@@ -15,7 +15,7 @@ import (
 // TestSpatialParallelMatchesSerial: the acceptance bar for the spatial
 // tier's determinism — per-shard solver sessions, Reset at wave
 // boundaries, and schedule-order merging must make Fidelity=SpatialPDN
-// bit-identical for any worker count, warm state or not.
+// bit-identical for any worker count.
 func TestSpatialParallelMatchesSerial(t *testing.T) {
 	_, aim, net := compileBoth(t, "resnet18")
 	cfg := pim.DefaultConfig()
@@ -23,30 +23,26 @@ func TestSpatialParallelMatchesSerial(t *testing.T) {
 	serialOpt.Parallel = 1
 	serialOpt.Fidelity = SpatialPDN
 	serial := Run(aim, cfg, serialOpt)
-	warm := NewWarmState()
 	for _, workers := range []int{0, 2, 3, 5} {
-		for _, w := range []*WarmState{nil, warm} {
-			opt := serialOpt
-			opt.Parallel = workers
-			opt.Warm = w
-			par := Run(aim, cfg, opt)
-			if par.AvgMacroPowerMW != serial.AvgMacroPowerMW ||
-				par.TOPS != serial.TOPS ||
-				par.WorstDropMV != serial.WorstDropMV ||
-				par.WorstWeightOpDropMV != serial.WorstWeightOpDropMV ||
-				par.AvgDropMV != serial.AvgDropMV ||
-				par.AvgLevelRtog != serial.AvgLevelRtog ||
-				par.Failures != serial.Failures ||
-				par.Cycles != serial.Cycles ||
-				par.UsefulCycles != serial.UsefulCycles ||
-				par.DelayFactor != serial.DelayFactor {
-				t.Errorf("SpatialPDN Parallel=%d warm=%v diverges from serial:\n  par=%+v\n  ser=%+v",
-					workers, w != nil, par, serial)
-			}
-			for i := range par.DropTraceMV {
-				if par.DropTraceMV[i] != serial.DropTraceMV[i] {
-					t.Fatalf("SpatialPDN Parallel=%d drop trace diverges at cycle %d", workers, i)
-				}
+		opt := serialOpt
+		opt.Parallel = workers
+		par := Run(aim, cfg, opt)
+		if par.AvgMacroPowerMW != serial.AvgMacroPowerMW ||
+			par.TOPS != serial.TOPS ||
+			par.WorstDropMV != serial.WorstDropMV ||
+			par.WorstWeightOpDropMV != serial.WorstWeightOpDropMV ||
+			par.AvgDropMV != serial.AvgDropMV ||
+			par.AvgLevelRtog != serial.AvgLevelRtog ||
+			par.Failures != serial.Failures ||
+			par.Cycles != serial.Cycles ||
+			par.UsefulCycles != serial.UsefulCycles ||
+			par.DelayFactor != serial.DelayFactor {
+			t.Errorf("SpatialPDN Parallel=%d diverges from serial:\n  par=%+v\n  ser=%+v",
+				workers, par, serial)
+		}
+		for i := range par.DropTraceMV {
+			if par.DropTraceMV[i] != serial.DropTraceMV[i] {
+				t.Fatalf("SpatialPDN Parallel=%d drop trace diverges at cycle %d", workers, i)
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"aim/internal/fxp"
 	"aim/internal/model"
 	"aim/internal/pim"
+	"aim/internal/stream"
 	"aim/internal/vf"
 	"aim/internal/xrand"
 )
@@ -27,7 +28,7 @@ func TestGroupTogglesHRMatchesTask(t *testing.T) {
 	cfg := pim.DefaultConfig()
 	rng := xrand.New(1)
 	hrs := []float64{0.25, 0.5}
-	gt := newGroupToggles(cfg, hrs, rng, false, nil)
+	gt := newGroupToggles(cfg, hrs, rng, &waveScratch{})
 	if len(gt.banks) != 2 {
 		t.Fatalf("banks = %d", len(gt.banks))
 	}
@@ -41,34 +42,47 @@ func TestGroupTogglesHRMatchesTask(t *testing.T) {
 	}
 }
 
-// TestPackedFidelityMatchesBytesReference is the simulator-level
-// equivalence guarantee: a full PackedToggles run over the word-wise
-// engine produces the exact same Result — every drop, power, TOPS and
-// trace float — as the legacy one-byte-per-bit reference path, for
-// fixed seeds.
-func TestPackedFidelityMatchesBytesReference(t *testing.T) {
-	_, aim, net := compileBoth(t, "resnet18")
-	opt := DefaultOptions(net.Transformer, vf.LowPower)
-	opt.Seed = seed
-	opt.CyclesPerWave = 120
-	opt.Fidelity = PackedToggles
-	packed := Run(aim, pim.DefaultConfig(), opt)
-
-	opt.bytesReference = true
-	bytes := Run(aim, pim.DefaultConfig(), opt)
-
-	if !reflect.DeepEqual(packed, bytes) {
-		t.Errorf("packed fidelity diverged from byte reference:\npacked: %+v\nbytes:  %+v", packed, bytes)
+// TestGroupTogglesMatchesBytesReference is the engine-level
+// equivalence guarantee: every per-cycle task Rtog of the word-wise
+// PackedToggles engine equals the legacy one-byte-per-bit reference
+// walk (pim.Bank.RtogCycleBytes) over the same toggles, and the
+// group's activity is their max. Two waves run on one scratch, so the
+// second wave proves the reused banks and toggle words carry nothing
+// over from the first.
+func TestGroupTogglesMatchesBytesReference(t *testing.T) {
+	cfg := pim.DefaultConfig()
+	scratch := &waveScratch{}
+	waves := [][]float64{
+		{0.05, 0.25, 0.5, 0.75, 0.95},
+		{0.5, 0.1, 0.9},
+	}
+	for wi, hrs := range waves {
+		scratch.nextWave()
+		rng := xrand.NewShard(seed, "sim/toggles", wi)
+		gt := newGroupToggles(cfg, hrs, rng, scratch)
+		for cyc := 0; cyc < 250; cyc++ {
+			gt.next(float64(cyc%11)/10, rng)
+			toggles := stream.Unpack(gt.words, gt.cells)
+			worst := 0.0
+			for i := range hrs {
+				want := gt.banks[i].RtogCycleBytes(toggles)
+				if got := gt.rtog(i); got != want {
+					t.Fatalf("wave %d cycle %d task %d: packed Rtog %v, byte reference %v", wi, cyc, i, got, want)
+				}
+				worst = max(worst, want)
+			}
+			if got := gt.activity(); got != worst {
+				t.Fatalf("wave %d cycle %d: activity %v, want worst task Rtog %v", wi, cyc, got, worst)
+			}
+		}
 	}
 }
 
-// TestPackedFidelityParallelMatchesSerial extends PR 1's determinism
+// TestPackedFidelityParallelMatchesSerial extends the determinism
 // guarantee to the packed engine: wave sharding must not change a bit.
-// Parallel != 1 additionally exercises the chunked executor with
-// per-chunk scratch reuse (waveScratch) — odd worker counts land chunk
-// boundaries mid-schedule, so reused banks/buffers are proven
-// bit-identical to the allocate-per-wave reference at every boundary
-// shape.
+// Odd worker counts land chunk boundaries mid-schedule, so scratch
+// reused across a chunk's waves is proven bit-identical to the
+// one-chunk serial run at every boundary shape.
 func TestPackedFidelityParallelMatchesSerial(t *testing.T) {
 	_, aim, net := compileBoth(t, "resnet18")
 	opt := DefaultOptions(net.Transformer, vf.LowPower)
@@ -83,24 +97,6 @@ func TestPackedFidelityParallelMatchesSerial(t *testing.T) {
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Errorf("packed fidelity not shard-deterministic at Parallel=%d:\nserial:   %+v\nparallel: %+v", workers, serial, parallel)
 		}
-	}
-}
-
-// TestBytesReferenceParallelMatchesSerial covers the pooled byte
-// buffers of the legacy reference engine under chunking too.
-func TestBytesReferenceParallelMatchesSerial(t *testing.T) {
-	_, aim, net := compileBoth(t, "resnet18")
-	opt := DefaultOptions(net.Transformer, vf.LowPower)
-	opt.Seed = seed
-	opt.CyclesPerWave = 60
-	opt.Fidelity = PackedToggles
-	opt.bytesReference = true
-	opt.Parallel = 1
-	serial := Run(aim, pim.DefaultConfig(), opt)
-	opt.Parallel = 3
-	chunked := Run(aim, pim.DefaultConfig(), opt)
-	if !reflect.DeepEqual(serial, chunked) {
-		t.Errorf("byte-reference engine not chunk-deterministic:\nserial:  %+v\nchunked: %+v", serial, chunked)
 	}
 }
 
@@ -125,7 +121,7 @@ func TestPackedFidelityPlausible(t *testing.T) {
 	}
 }
 
-func benchSimFidelity(b *testing.B, fidelity Fidelity, bytesRef bool, parallel int) {
+func benchSimFidelity(b *testing.B, fidelity Fidelity, parallel int) {
 	net, err := model.ByName("resnet18", seed)
 	if err != nil {
 		b.Fatal(err)
@@ -136,7 +132,6 @@ func benchSimFidelity(b *testing.B, fidelity Fidelity, bytesRef bool, parallel i
 	opt := DefaultOptions(net.Transformer, vf.LowPower)
 	opt.Seed = seed
 	opt.Fidelity = fidelity
-	opt.bytesReference = bytesRef
 	opt.Parallel = parallel
 	Run(c, pim.DefaultConfig(), opt) // untimed warm-up: page in caches and heap
 	b.ReportAllocs()
@@ -149,25 +144,16 @@ func benchSimFidelity(b *testing.B, fidelity Fidelity, bytesRef bool, parallel i
 	}
 }
 
-// BenchmarkSimPacked measures an end-to-end PackedToggles run on the
-// serial reference path (Parallel=1): the word-wise per-cycle pipeline
-// with one fresh allocation set per wave. Compare
-// BenchmarkSimPackedBytes (the legacy byte walk) for the packed
-// speedup, and BenchmarkSimPackedParallel for the production path.
-func BenchmarkSimPacked(b *testing.B) { benchSimFidelity(b, PackedToggles, false, 1) }
+// BenchmarkSimPacked measures an end-to-end PackedToggles run with
+// Parallel=1: the word-wise per-cycle pipeline, every wave in one
+// chunk on the calling goroutine. Compare BenchmarkSimPackedParallel
+// for the sharded run.
+func BenchmarkSimPacked(b *testing.B) { benchSimFidelity(b, PackedToggles, 1) }
 
-// BenchmarkSimPackedParallel is the production wave executor
-// (Parallel=0): contiguous wave chunks with per-chunk scratch reuse,
-// one worker per CPU. Expected ordering in BENCH_rtog.json:
-// BenchmarkSimPackedParallel <= BenchmarkSimPacked on any machine —
-// with a single CPU the chunked path still wins by skipping the
-// per-wave synthetic-bank reallocations (roughly half the run's
-// allocations); with more CPUs the wave sharding compounds on top.
-func BenchmarkSimPackedParallel(b *testing.B) { benchSimFidelity(b, PackedToggles, false, 0) }
-
-// BenchmarkSimPackedBytes is the same run on the retained
-// one-byte-per-bit reference engine.
-func BenchmarkSimPackedBytes(b *testing.B) { benchSimFidelity(b, PackedToggles, true, 1) }
+// BenchmarkSimPackedParallel is the same run with Parallel=0: two wave
+// chunks per CPU, each on its own scratch. With one CPU it matches
+// BenchmarkSimPacked; with more, wave sharding divides the wall clock.
+func BenchmarkSimPackedParallel(b *testing.B) { benchSimFidelity(b, PackedToggles, 0) }
 
 // BenchmarkSimAnalytic is the closed-form default engine, for scale.
-func BenchmarkSimAnalytic(b *testing.B) { benchSimFidelity(b, AnalyticToggles, false, 1) }
+func BenchmarkSimAnalytic(b *testing.B) { benchSimFidelity(b, AnalyticToggles, 1) }

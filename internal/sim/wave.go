@@ -29,10 +29,9 @@ type groupRun struct {
 	active bool
 }
 
-// runWave simulates one scheduled wave for opt.CyclesPerWave cycles.
-// scratch, when non-nil, supplies a chunk worker's reusable buffers
-// (see waveScratch); nil keeps the historical allocate-per-wave
-// reference behaviour.
+// runWave simulates one scheduled wave for opt.CyclesPerWave cycles,
+// drawing its working buffers from the chunk worker's scratch (see
+// waveScratch).
 //
 // Drop estimation goes through the pluggable irdrop.DropEstimator
 // layer: each cycle the activity pass stages every occupied group's
@@ -73,7 +72,7 @@ func runWave(w *compiler.Wave, cfg pim.Config, m irdrop.Model, table *vf.Table, 
 		}
 		// The mesh sweeps and the wave shards compete for the same
 		// cores: a sharded run keeps each shard's session serial, while
-		// the serial reference path lets its single session batch
+		// a serial run (Parallel == 1) lets its single session batch
 		// smoothing sweeps through internal/runner. Bit-identical
 		// either way (the solver's checkerboard invariant).
 		if opt.Parallel == 1 {
@@ -174,7 +173,7 @@ func runWave(w *compiler.Wave, cfg pim.Config, m irdrop.Model, table *vf.Table, 
 			for i, ti := range gr.occupied {
 				taskHRs[i] = tasks[ti].HR
 			}
-			engines[g] = newGroupToggles(cfg, taskHRs, rng, opt.bytesReference, scratch)
+			engines[g] = newGroupToggles(cfg, taskHRs, rng, scratch)
 		}
 	}
 

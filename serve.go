@@ -19,8 +19,8 @@ import (
 //
 // Concurrent Submit calls flow through an admission queue whose batch
 // former groups them by plan; batches execute over a bounded worker
-// pool reusing warm simulator state. Results are identical to a cold
-// Run of the same Config — determinism holds for any worker count.
+// pool. Results are identical to a cold Run of the same Config —
+// determinism holds for any worker count.
 //
 // The runtime is a four-layer stack: Handler is the HTTP transport,
 // admission applies per-client rate limits and sheds load once the
